@@ -82,6 +82,35 @@ fn exact_siting_spec_replays_identically() {
 }
 
 #[test]
+fn exact_siting_report_is_independent_of_earlier_runs() {
+    // The exact path chains warm bases across its own LPs; none may leak
+    // into the next request, so a spec's report is a function of the spec
+    // alone, whatever ran on the engine before it.
+    let engine = Engine::new(WorldCatalog::anchors_only(20140701));
+    let exact = |tech, green| {
+        ExperimentSpec::ExactSiting(ExactSitingSpec {
+            input: PlacementInput {
+                min_availability: 0.998,
+                min_green_fraction: green,
+                tech,
+                ..PlacementInput::default()
+            },
+            profile: ProfileConfig::coarse(),
+            filter_keep: 4,
+            max_candidates: 4,
+            max_sites: 1,
+        })
+    };
+    let spec = exact(TechMix::WindOnly, 0.7);
+    let first = engine.run(&spec).expect("first run");
+    engine
+        .run(&exact(TechMix::SolarOnly, 0.5))
+        .expect("intervening run");
+    let again = engine.run(&spec).expect("second run");
+    assert_eq!(first.normalized(), again.normalized());
+}
+
+#[test]
 fn annual_spec_replays_identically() {
     let engine = Engine::new(WorldCatalog::anchors_only(4));
     let spec = ExperimentSpec::Annual(AnnualSpec {

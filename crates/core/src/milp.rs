@@ -77,6 +77,10 @@ pub fn solve_exact(
     // Per-site blocks are identical across the enumeration, so compile each
     // (candidate, class) pair once and reuse it for every subset.
     let blocks = SiteBlockCache::new();
+    // Sitings of the same size give LPs of the same shape, whatever their
+    // members and classes: warm-start each solve from the last optimal
+    // basis of its size. The bases live only for this call.
+    let mut last_basis: Vec<Option<Basis>> = vec![None; n_max + 1];
     // Enumerate subsets by bitmask, then size classes per member.
     for mask in 1u32..(1 << n) {
         let members: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
@@ -84,9 +88,6 @@ pub fn solve_exact(
             continue;
         }
         let k = members.len();
-        // Class re-assignments keep the LP shape: warm-start each solve
-        // from the previous class mask's basis for this member set.
-        let mut last_basis: Option<Basis> = None;
         for classes in 0u32..(1 << k) {
             let siting: Vec<(usize, SizeClass)> = members
                 .iter()
@@ -116,9 +117,9 @@ pub fn solve_exact(
             }
             let lp = build_network_lp_cached(params, input, candidates, &siting, &blocks);
             if let Ok((dispatch, basis)) =
-                lp.solve_warm(SimplexOptions::default(), last_basis.as_ref())
+                lp.solve_warm(SimplexOptions::default(), last_basis[k].as_ref())
             {
-                last_basis = basis;
+                last_basis[k] = basis;
                 let better = best
                     .as_ref()
                     .is_none_or(|(bc, _, _)| dispatch.monthly_cost < *bc);

@@ -659,15 +659,19 @@ impl<'a> Worker<'a> {
         self.iterate(false).map_err(|_| ())
     }
 
-    /// Dual-simplex feasibility restoration: repeatedly drives the most
-    /// bound-violated basic variable onto its violated bound, choosing the
-    /// entering column by the dual ratio test (smallest |reduced cost| per
-    /// unit of pivot, largest pivot on ties). Reduced costs come from the
-    /// maintained array; candidate pivots come from the sparse pivot row,
-    /// so only columns the row actually touches are examined. From a
-    /// near-optimal warm basis this takes a handful of pivots; a stall (no
-    /// usable pivot or too many steps) reports `Err` so the caller can
-    /// solve cold instead.
+    /// Feasibility restoration by the dual simplex method. Each step takes
+    /// the most bound-violated basic variable out of the basis onto its
+    /// violated bound and brings in the column chosen by the dual ratio
+    /// test (smallest |reduced cost| per unit of pivot, largest pivot on
+    /// ties). Every step is a full pivot, even when the entering column
+    /// lands past its own opposite bound: it is then a violated basic and
+    /// leaves through a later step. So a basis that starts dual feasible
+    /// stays dual feasible throughout, as in the textbook method. Reduced
+    /// costs come from the maintained array; candidate pivots come from
+    /// the sparse pivot row, so only columns the row actually touches are
+    /// examined. From a neighbouring model's optimal basis this takes tens
+    /// to a few hundred pivots; a stall (no usable pivot or too many
+    /// steps) reports `Err` so the caller can solve cold instead.
     fn restore_primal_feasibility(&mut self, phase1: bool) -> Result<(), ()> {
         const PIV_TOL: f64 = 1e-9;
         let tol = self.opts.feas_tol;
@@ -762,7 +766,7 @@ impl<'a> Worker<'a> {
                     best = Some((q, dir, ratio, alpha.abs()));
                 }
             }
-            let Some((q, dir, _, alpha_abs)) = best else {
+            let Some((q, dir, _, _)) = best else {
                 return Err(()); // no usable pivot: let the cold solve decide
             };
 
@@ -777,26 +781,8 @@ impl<'a> Worker<'a> {
                 return Err(());
             }
 
-            // Bound flip: when reaching the target would push the entering
-            // variable past its own opposite bound, move it exactly there
-            // instead of pivoting (standard bound-flipping dual ratio
-            // test). The violation shrinks by |α|·span and the basis is
-            // untouched — reduced costs are untouched too; the next sweep
-            // picks up the remainder.
-            let span = self.ub[q] - self.lb[q];
-            if span.is_finite() && t > span {
-                for s in 0..self.m {
-                    self.xb[s] -= span * dir * self.work_w[s];
-                }
-                self.status[q] = match self.status[q] {
-                    ColStatus::AtLower => ColStatus::AtUpper,
-                    ColStatus::AtUpper => ColStatus::AtLower,
-                    other => other,
-                };
-                debug_assert!(alpha_abs * span > 0.0);
-                continue;
-            }
-
+            // q enters even when t carries it past its opposite bound: only
+            // a full pivot (with its dual step) keeps dual feasibility.
             let leaving = self.basis[r];
             // Maintain reduced costs across the pivot while the pivot row
             // is still valid (before the eta push).

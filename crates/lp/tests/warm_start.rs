@@ -199,3 +199,31 @@ fn infeasible_and_unbounded_unaffected_by_warm_basis() {
         SolveError::Unbounded
     );
 }
+
+#[test]
+fn boxed_entering_column_past_its_span_still_pivots() {
+    // The slack basis is dual feasible but violates both rows. Restoring
+    // row 1 wants the boxed q up by 1.5 (span 1), and restoring row 2 then
+    // wants it down by 1.125. Flipping q between its bounds instead of
+    // pivoting would alternate between the two rows until the step cap
+    // and throw the warm start away; a dual pivot brings q into the basis
+    // and reaches the optimum in a few steps.
+    let mut m = Model::new();
+    let q = m.add_var("q", 0.0, 1.0, 0.1);
+    let p = m.add_var("p", 0.0, f64::INFINITY, 1.0);
+    m.add_con("r1", [(q, 2.0), (p, 1.0)], Sense::Ge, 3.0);
+    m.add_con("r2", [(q, -4.0), (p, 1.0)], Sense::Ge, 0.5);
+    let slacks = Basis::from_statuses(vec![
+        BasisStatus::AtLower, // q
+        BasisStatus::AtLower, // p
+        BasisStatus::Basic,   // slack r1
+        BasisStatus::Basic,   // slack r2
+    ]);
+    let cold = solver().solve(&m).expect("cold");
+    let warm = solver().solve_warm(&m, Some(&slacks)).expect("warm");
+    assert!(warm.warm_started, "restoration fell back to a cold solve");
+    assert!(warm.iterations <= 4, "took {} iterations", warm.iterations);
+    assert!((warm.objective - cold.objective).abs() < 1e-9);
+    assert!((warm.value(q) - 5.0 / 12.0).abs() < 1e-9);
+    assert!((warm.value(p) - 13.0 / 6.0).abs() < 1e-9);
+}
