@@ -10,6 +10,53 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Specs and reports
+/// nest a handful of levels; the cap keeps the recursive-descent reader's
+/// stack use bounded whatever a client sends.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Json::parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonError {
+    /// The text is not well-formed JSON; the message names the first
+    /// problem found.
+    Syntax(String),
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`]; `offset` is the byte
+    /// offset of the bracket that crossed the limit.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        offset: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "nesting deeper than {MAX_DEPTH} levels at offset {offset}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Syntax(msg.to_string())
+    }
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -32,17 +79,19 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first structural problem found.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    /// [`JsonError::Syntax`] describing the first structural problem found,
+    /// or [`JsonError::TooDeep`] past [`MAX_DEPTH`] levels of nesting.
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let doc = p.value()?;
         p.skip_ws();
         if p.at != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.at));
+            return Err(format!("trailing bytes at offset {}", p.at).into());
         }
         Ok(doc)
     }
@@ -263,6 +312,8 @@ pub fn quote(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -280,24 +331,20 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.at).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.at += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                char::from(b),
-                self.at
-            ))
+            Err(format!("expected '{}' at offset {}", char::from(b), self.at).into())
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -307,16 +354,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { offset: self.at });
+        }
+        self.depth += 1;
+        let doc = parse(self);
+        self.depth -= 1;
+        doc
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
         if self.bytes[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at offset {}", self.at))
+            Err(format!("bad literal at offset {}", self.at).into())
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.at;
         while self
             .peek()
@@ -328,20 +390,20 @@ impl<'a> Parser<'a> {
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Number)
-            .ok_or_else(|| format!("bad number at offset {start}"))
+            .ok_or_else(|| format!("bad number at offset {start}").into())
     }
 
     /// Reads the four hex digits starting at `at` (one code unit of a
     /// `\u` escape).
-    fn hex4(&self, at: usize) -> Result<u32, String> {
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
         let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
         std::str::from_utf8(hex)
             .ok()
             .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| "bad \\u escape".to_string())
+            .ok_or_else(|| "bad \\u escape".into())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -388,7 +450,7 @@ impl<'a> Parser<'a> {
                                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             }
                         }
-                        _ => return Err(format!("bad escape at offset {}", self.at)),
+                        _ => return Err(format!("bad escape at offset {}", self.at).into()),
                     }
                     self.at += 1;
                 }
@@ -411,7 +473,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -430,12 +492,12 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                     return Ok(Json::Array(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.at)),
+                _ => return Err(format!("expected ',' or ']' at offset {}", self.at).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -459,7 +521,7 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                     return Ok(Json::Object(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.at)),
+                _ => return Err(format!("expected ',' or '}}' at offset {}", self.at).into()),
             }
         }
     }
@@ -538,6 +600,55 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\": 1} extra").is_err());
         assert!(Json::parse("nulx").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        // Exactly the cap parses, arrays and objects alike.
+        assert!(Json::parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        ))
+        .is_ok());
+        // One level more is refused at the bracket that crossed it.
+        assert_eq!(
+            Json::parse(&nest(MAX_DEPTH + 1, "[", "]")),
+            Err(JsonError::TooDeep { offset: MAX_DEPTH })
+        );
+        let mixed = format!("{}{}", "[{\"k\": ".repeat(MAX_DEPTH), "0");
+        assert!(matches!(
+            Json::parse(&mixed),
+            Err(JsonError::TooDeep { .. })
+        ));
+        // A hostile depth returns instead of overflowing the stack, even
+        // unterminated.
+        let hostile = "[".repeat(20_000);
+        let err = Json::parse(&hostile).expect_err("too deep");
+        assert_eq!(err, JsonError::TooDeep { offset: MAX_DEPTH });
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} levels at offset {MAX_DEPTH}")
+        );
+        // Depth is released on the way out: many shallow siblings are fine.
+        let siblings = format!("[{}]", vec!["[[1]]"; 1000].join(","));
+        assert!(Json::parse(&siblings).is_ok());
+    }
+
+    #[test]
+    fn syntax_errors_keep_their_messages() {
+        assert_eq!(
+            Json::parse("[1,]"),
+            Err(JsonError::Syntax("bad number at offset 3".into()))
+        );
+        assert_eq!(
+            Json::parse("{\"a\": 1} extra").map_err(|e| e.to_string()),
+            Err("trailing bytes at offset 9".to_string())
+        );
     }
 
     #[test]

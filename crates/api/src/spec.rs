@@ -81,7 +81,7 @@ impl ExperimentSpec {
     /// [`SpecError`] naming the offending field path for malformed JSON,
     /// wrong schema versions, unknown kinds, or missing/mistyped fields.
     pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        let doc = Json::parse(text).map_err(|e| SpecError::new("$", e))?;
+        let doc = Json::parse(text).map_err(|e| SpecError::new("$", e.to_string()))?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)

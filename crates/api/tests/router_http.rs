@@ -189,6 +189,37 @@ fn bad_spec_is_rejected_at_the_edge() {
     server.join();
 }
 
+/// The router parses every spec at its edge; a 20,000-deep nested body
+/// must come back as a typed 400 (never reaching a backend) and leave the
+/// router serving.
+#[test]
+fn deeply_nested_body_is_rejected_at_the_edge_and_the_router_survives() {
+    let (server, server_addr) = start(|_| {});
+    let (router, router_addr) = start_router(&[server_addr], |_| {});
+
+    let body = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let resp = http(
+        router_addr,
+        "POST",
+        "/v1/experiments",
+        &[],
+        Some(body.as_bytes()),
+    );
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert_eq!(resp.code().as_deref(), Some("spec_invalid"));
+    let stats = http(server_addr, "GET", "/v1/stats", &[], None);
+    assert_eq!(stats.json().get("received").and_then(Json::as_u64), Some(0));
+
+    let spec = annual_spec(24, 4, 0).to_json_string().into_bytes();
+    let ok = http(router_addr, "POST", "/v1/experiments", &[], Some(&spec));
+    assert_eq!(ok.status, 200, "{}", ok.body);
+
+    router.trigger_shutdown();
+    router.join();
+    server.trigger_shutdown();
+    server.join();
+}
+
 /// Jobs submitted through the router are pollable through the router:
 /// the job id's hex prefix recovers the spec's ring key, so the GET lands
 /// on the backend that owns the job.

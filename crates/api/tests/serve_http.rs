@@ -73,6 +73,26 @@ fn malformed_spec_is_a_schema_versioned_400() {
     server.join();
 }
 
+/// A body nested far deeper than any spec (20,000 levels of `[`, 40 KB)
+/// is a typed 400 rather than a stack overflow that takes the process
+/// down: the same server then still answers a real solve.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let (server, addr) = start(|_| {});
+
+    let body = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let resp = http(addr, "POST", "/v1/experiments", &[], Some(body.as_bytes()));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert_eq!(resp.code().as_deref(), Some("spec_invalid"));
+
+    let spec = annual_spec(24, 4, 0).to_json_string().into_bytes();
+    let ok = http(addr, "POST", "/v1/experiments", &[], Some(&spec));
+    assert_eq!(ok.status, 200, "{}", ok.body);
+
+    server.trigger_shutdown();
+    server.join();
+}
+
 #[test]
 fn oversized_body_and_missing_length_are_rejected() {
     let (server, addr) = start(|cfg| cfg.max_body_bytes = 256);

@@ -67,7 +67,7 @@ pub fn render_bench_json(records: &[BenchRecord]) -> String {
 ///
 /// A human-readable description of the first structural problem found.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let doc = Json::parse(text)?;
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
     if !matches!(&doc, Json::Object(_)) {
         return Err("top level is not an object".into());
     }

@@ -5,13 +5,18 @@
 //! nonzeros per column), so a dense factorization would dominate solve time.
 //! [`SparseLu`] implements a left-looking column LU with partial pivoting:
 //! `P·B = L·U` with `L` unit lower triangular and `U` upper triangular, both
-//! stored column-wise in pivot-position space. Triangular solves use a dense
-//! workspace and run in `O(n + nnz(L+U))`.
+//! stored column-wise in pivot-position space. Each column is eliminated
+//! only by the earlier pivots it actually reaches, so factorization work
+//! follows the nonzeros of the factors (times a heap's log factor) instead
+//! of growing as `n²`. Triangular solves use a dense workspace and run in
+//! `O(n + nnz(L+U))`.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
 #![allow(clippy::needless_range_loop)]
 use crate::model::SolveError;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A sparse matrix stored in compressed-column form, used to hand basis
 /// columns to the factorization.
@@ -48,6 +53,55 @@ impl ColMatrix {
             }
         }
         self.col_ptr.push(self.row_idx.len());
+    }
+
+    /// Builds an `n_rows × n_cols` matrix from its rows, each given by
+    /// `row(i)` as `(column, value)` terms (a two-pass counting transpose,
+    /// `O(nnz)`). Every column lists its entries in row order, and within a
+    /// row in term order, so duplicate terms stay separate entries; zero
+    /// values are dropped. The result equals pushing each column's entries
+    /// in that order through [`ColMatrix::push_col`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any column index is out of range.
+    pub(crate) fn from_rows<F, I>(n_rows: usize, n_cols: usize, row: F) -> Self
+    where
+        F: Fn(usize) -> I,
+        I: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut col_ptr = vec![0usize; n_cols + 1];
+        for i in 0..n_rows {
+            for (j, v) in row(i) {
+                assert!(j < n_cols, "column index {j} out of range");
+                if v != 0.0 {
+                    col_ptr[j + 1] += 1;
+                }
+            }
+        }
+        for j in 0..n_cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n_cols];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut cursor = col_ptr.clone();
+        for i in 0..n_rows {
+            for (j, v) in row(i) {
+                if v != 0.0 {
+                    let t = cursor[j];
+                    row_idx[t] = i;
+                    values[t] = v;
+                    cursor[j] += 1;
+                }
+            }
+        }
+        Self {
+            n_rows,
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 
     /// Number of rows.
@@ -183,7 +237,7 @@ const PIVOT_TOL: f64 = 1e-11;
 /// Structured factorization failure, rich enough to drive basis repair:
 /// a warm-start installer can swap the dead column for the slack of a
 /// not-yet-pivoted row and retry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FactorizeError {
     /// The matrix is not square.
     NotSquare {
@@ -374,6 +428,10 @@ impl SparseLu {
         let mut x = vec![0.0; n];
         let mut mark = vec![false; n];
         let mut touched: Vec<usize> = Vec::with_capacity(64);
+        // Positions of the touched rows that already hold a pivot, popped
+        // smallest first. A row is marked (and so pushed) at most once per
+        // column.
+        let mut reach: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
 
         for k in 0..n {
             // Scatter the column ordered at position k.
@@ -381,15 +439,20 @@ impl SparseLu {
                 if !mark[r] {
                     mark[r] = true;
                     touched.push(r);
+                    if lu.pos_of[r] != usize::MAX {
+                        reach.push(Reverse(lu.pos_of[r]));
+                    }
                 }
                 x[r] += v;
             }
 
-            // Left-looking elimination: apply pivots 0..k in position order.
-            // A pivot p only updates rows that were not pivoted before p, so
-            // increasing-order processing over original-row workspace is
-            // exact.
-            for p in 0..k {
+            // Left-looking elimination over only the pivots the column
+            // reaches, in increasing position order (one it never reaches
+            // would see `x = 0` and do nothing). A pivot p only updates rows
+            // that were not pivoted before p, so everything it pushes lies
+            // past p and the pops stay in order: the arithmetic, the U
+            // entries and the touched order are those of a sweep over 0..k.
+            while let Some(Reverse(p)) = reach.pop() {
                 let pr = lu.row_of[p];
                 let xp = x[pr];
                 if xp == 0.0 {
@@ -405,6 +468,9 @@ impl SparseLu {
                     if !mark[r] {
                         mark[r] = true;
                         touched.push(r);
+                        if lu.pos_of[r] != usize::MAX {
+                            reach.push(Reverse(lu.pos_of[r]));
+                        }
                     }
                     x[r] -= lu.l_val[t] * xp;
                 }
@@ -458,6 +524,27 @@ impl SparseLu {
             *idx = lu.pos_of[*idx];
         }
         Ok(lu)
+    }
+
+    /// The factors of the `n × n` identity, in `O(n)`: exactly what
+    /// [`SparseLu::factorize`] returns for it. The triangular preorder
+    /// peels the unit columns last-to-first, so both permutations are
+    /// reversals; `L` and `U` have no off-diagonal entries.
+    pub(crate) fn identity(n: usize) -> Self {
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        SparseLu {
+            n,
+            l_ptr: vec![0; n + 1],
+            l_idx: Vec::new(),
+            l_val: Vec::new(),
+            u_ptr: vec![0; n + 1],
+            u_idx: Vec::new(),
+            u_val: Vec::new(),
+            u_diag: vec![1.0; n],
+            row_of: reversed.clone(),
+            pos_of: reversed.clone(),
+            col_of: reversed,
+        }
     }
 
     /// Matrix dimension.
@@ -633,6 +720,394 @@ impl SparseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The plain left-looking factorization, visiting every earlier pivot
+    /// for every column (`O(n²)`): the oracle the reach-ordered
+    /// elimination of [`SparseLu::factorize_detailed`] must match bit for
+    /// bit.
+    fn reference_factorize(basis: &ColMatrix) -> Result<SparseLu, FactorizeError> {
+        let n = basis.n_rows();
+        if basis.n_cols() != n {
+            return Err(FactorizeError::NotSquare {
+                rows: n,
+                cols: basis.n_cols(),
+            });
+        }
+        let mut lu = SparseLu {
+            n,
+            l_ptr: vec![0],
+            l_idx: Vec::new(),
+            l_val: Vec::new(),
+            u_ptr: vec![0],
+            u_idx: Vec::new(),
+            u_val: Vec::new(),
+            u_diag: vec![0.0; n],
+            row_of: vec![usize::MAX; n],
+            pos_of: vec![usize::MAX; n],
+            col_of: triangular_order(basis),
+        };
+        let mut x = vec![0.0; n];
+        let mut mark = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for k in 0..n {
+            for (r, v) in basis.col(lu.col_of[k]) {
+                if !mark[r] {
+                    mark[r] = true;
+                    touched.push(r);
+                }
+                x[r] += v;
+            }
+            for p in 0..k {
+                let pr = lu.row_of[p];
+                let xp = x[pr];
+                if xp == 0.0 {
+                    continue;
+                }
+                lu.u_idx.push(p);
+                lu.u_val.push(xp);
+                for t in lu.l_ptr[p]..lu.l_ptr[p + 1] {
+                    let r = lu.l_idx[t];
+                    if !mark[r] {
+                        mark[r] = true;
+                        touched.push(r);
+                    }
+                    x[r] -= lu.l_val[t] * xp;
+                }
+                x[pr] = 0.0;
+            }
+            lu.u_ptr.push(lu.u_idx.len());
+            let mut piv_row = usize::MAX;
+            let mut piv_abs = PIVOT_TOL;
+            for &r in &touched {
+                if lu.pos_of[r] == usize::MAX && x[r].abs() > piv_abs {
+                    piv_abs = x[r].abs();
+                    piv_row = r;
+                }
+            }
+            if piv_row == usize::MAX {
+                return Err(FactorizeError::Singular {
+                    col: lu.col_of[k],
+                    pivoted: lu.pos_of.iter().map(|&p| p != usize::MAX).collect(),
+                });
+            }
+            let piv_val = x[piv_row];
+            lu.u_diag[k] = piv_val;
+            lu.row_of[k] = piv_row;
+            lu.pos_of[piv_row] = k;
+            for &r in &touched {
+                if r != piv_row && lu.pos_of[r] == usize::MAX && x[r] != 0.0 {
+                    lu.l_idx.push(r);
+                    lu.l_val.push(x[r] / piv_val);
+                }
+            }
+            lu.l_ptr.push(lu.l_idx.len());
+            for &r in &touched {
+                x[r] = 0.0;
+                mark[r] = false;
+            }
+            touched.clear();
+        }
+        for idx in &mut lu.l_idx {
+            *idx = lu.pos_of[*idx];
+        }
+        Ok(lu)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Field-by-field, bit-for-bit equality of two factorizations.
+    fn assert_same_factors(got: &SparseLu, want: &SparseLu, what: &str) {
+        assert_eq!(got.n, want.n, "{what}: n");
+        assert_eq!(got.l_ptr, want.l_ptr, "{what}: l_ptr");
+        assert_eq!(got.l_idx, want.l_idx, "{what}: l_idx");
+        assert_eq!(bits(&got.l_val), bits(&want.l_val), "{what}: l_val");
+        assert_eq!(got.u_ptr, want.u_ptr, "{what}: u_ptr");
+        assert_eq!(got.u_idx, want.u_idx, "{what}: u_idx");
+        assert_eq!(bits(&got.u_val), bits(&want.u_val), "{what}: u_val");
+        assert_eq!(bits(&got.u_diag), bits(&want.u_diag), "{what}: u_diag");
+        assert_eq!(got.row_of, want.row_of, "{what}: row_of");
+        assert_eq!(got.pos_of, want.pos_of, "{what}: pos_of");
+        assert_eq!(got.col_of, want.col_of, "{what}: col_of");
+    }
+
+    /// Factorizes `m` both ways and requires identical outcomes: the same
+    /// factors bit for bit, or the same error (including the `Singular`
+    /// column and pivoted-row set that basis repair acts on). Returns
+    /// whether the matrix factorized.
+    fn assert_matches_reference(m: &ColMatrix, what: &str) -> bool {
+        match (SparseLu::factorize_detailed(m), reference_factorize(m)) {
+            (Ok(got), Ok(want)) => {
+                assert_same_factors(&got, &want, what);
+                true
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "{what}: error");
+                false
+            }
+            (got, want) => panic!(
+                "{what}: outcomes differ: got {:?}, reference {:?}",
+                got.err(),
+                want.err()
+            ),
+        }
+    }
+
+    fn shuffle<T>(rng: &mut ChaCha8Rng, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            let j = rng.gen_range(0..i + 1);
+            v.swap(i, j);
+        }
+    }
+
+    /// Builds an `n`-row matrix from `(row, value)` columns after a random
+    /// row relabelling and column order, so the preorder and the pivot
+    /// search see the structure in no convenient order.
+    fn scrambled(rng: &mut ChaCha8Rng, n: usize, mut cols: Vec<Vec<(usize, f64)>>) -> ColMatrix {
+        let mut relabel: Vec<usize> = (0..n).collect();
+        shuffle(rng, &mut relabel);
+        shuffle(rng, &mut cols);
+        let mut m = ColMatrix::new(n);
+        for col in cols {
+            m.push_col(col.into_iter().map(|(r, v)| (relabel[r], v)));
+        }
+        m
+    }
+
+    /// A battery-chain basis: level-linking bidiagonal columns, some
+    /// replaced by slacks, some coupled to a shared row (the way charge and
+    /// discharge share a demand balance).
+    fn battery_chain(rng: &mut ChaCha8Rng, n: usize) -> ColMatrix {
+        let cols = (0..n)
+            .map(|j| {
+                if rng.gen_bool(0.25) {
+                    return vec![(j, if rng.gen_bool(0.5) { 1.0 } else { -1.0 })];
+                }
+                let mut col = vec![(j, 1.0)];
+                if j > 0 {
+                    col.push((j - 1, -rng.gen_range(0.5..1.0)));
+                }
+                if rng.gen_bool(0.3) {
+                    let r = rng.gen_range(0..n);
+                    if r != j && (j == 0 || r != j - 1) {
+                        col.push((r, rng.gen_range(-2.0..2.0)));
+                    }
+                }
+                col
+            })
+            .collect();
+        scrambled(rng, n, cols)
+    }
+
+    /// A sparse lower-triangular matrix with a dense-ish block of columns
+    /// that also reach above the diagonal: the preorder peels the
+    /// triangular part and leaves a bump that fills in.
+    fn triangular_plus_bump(rng: &mut ChaCha8Rng, n: usize) -> ColMatrix {
+        let bump_lo = n - (n / 4).max(2);
+        let cols = (0..n)
+            .map(|j| {
+                let mut col = vec![(j, rng.gen_range(1.0..3.0))];
+                for r in j + 1..n {
+                    if rng.gen_bool(0.1) {
+                        col.push((r, rng.gen_range(-1.0..1.0)));
+                    }
+                }
+                if j >= bump_lo {
+                    for r in bump_lo..j {
+                        if rng.gen_bool(0.6) {
+                            col.push((r, rng.gen_range(-1.0..1.0)));
+                        }
+                    }
+                }
+                col
+            })
+            .collect();
+        scrambled(rng, n, cols)
+    }
+
+    /// ±1 entries over a diagonal: elimination cancels to exact zeros.
+    fn cancelling(rng: &mut ChaCha8Rng, n: usize) -> ColMatrix {
+        let cols = (0..n)
+            .map(|j| {
+                let mut col = Vec::new();
+                for r in 0..n {
+                    let mut v = 0.0;
+                    if rng.gen_bool(0.3) {
+                        v = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    }
+                    if r == j && rng.gen_bool(0.7) {
+                        v += 1.0;
+                    }
+                    if v != 0.0 {
+                        col.push((r, v));
+                    }
+                }
+                col
+            })
+            .collect();
+        scrambled(rng, n, cols)
+    }
+
+    /// `m` with some columns made dependent on others: a zero column, a
+    /// duplicate, or a sum of two columns.
+    fn with_dependent_columns(rng: &mut ChaCha8Rng, m: &ColMatrix) -> ColMatrix {
+        let n = m.n_cols();
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..n).map(|j| m.col(j).collect()).collect();
+        for _ in 0..rng.gen_range(1..3) {
+            let (target, a, b) = (
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+            );
+            cols[target] = match rng.gen_range(0..3) {
+                0 => Vec::new(),
+                1 => cols[a].clone(),
+                _ => {
+                    let mut dense = vec![0.0; m.n_rows()];
+                    for &(r, v) in cols[a].iter().chain(&cols[b]) {
+                        dense[r] += v;
+                    }
+                    dense
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(_, v)| v != 0.0)
+                        .collect()
+                }
+            };
+        }
+        let mut out = ColMatrix::new(m.n_rows());
+        for col in cols {
+            out.push_col(col);
+        }
+        out
+    }
+
+    #[test]
+    fn reach_ordered_elimination_matches_reference_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2014);
+        let mut factorized = 0usize;
+        let mut singular = 0usize;
+        for trial in 0..160 {
+            let n = 4 + trial % 37;
+            let m = match trial % 4 {
+                0 => battery_chain(&mut rng, n),
+                1 => triangular_plus_bump(&mut rng, n),
+                2 => cancelling(&mut rng, n.min(16)),
+                _ => {
+                    let base = if rng.gen_bool(0.5) {
+                        battery_chain(&mut rng, n)
+                    } else {
+                        triangular_plus_bump(&mut rng, n)
+                    };
+                    with_dependent_columns(&mut rng, &base)
+                }
+            };
+            if assert_matches_reference(&m, &format!("trial {trial} (n={})", m.n_rows())) {
+                factorized += 1;
+            } else {
+                singular += 1;
+            }
+        }
+        // Both outcomes are exercised, not just one.
+        assert!(factorized >= 80, "only {factorized} bases factorized");
+        assert!(singular >= 20, "only {singular} bases were singular");
+    }
+
+    #[test]
+    fn identity_factors_equal_factorized_identity() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for n in [0usize, 1, 2, 7, 40] {
+            let mut eye = ColMatrix::new(n);
+            for i in 0..n {
+                eye.push_col([(i, 1.0)]);
+            }
+            let fresh = SparseLu::factorize(&eye).expect("identity factorizes");
+            let quick = SparseLu::identity(n);
+            assert_same_factors(&quick, &fresh, &format!("identity({n})"));
+
+            let mut scratch = Vec::new();
+            for _ in 0..4 {
+                // Include signed zeros and exact zeros among the entries.
+                let v: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-5.0..5.0),
+                    })
+                    .collect();
+                let (mut a, mut b) = (v.clone(), v.clone());
+                quick.ftran(&mut a, &mut scratch);
+                fresh.ftran(&mut b, &mut scratch);
+                assert_eq!(bits(&a), bits(&b), "ftran");
+
+                let (mut a, mut b) = (v.clone(), v.clone());
+                quick.btran(&mut a, &mut scratch);
+                fresh.btran(&mut b, &mut scratch);
+                assert_eq!(bits(&a), bits(&b), "btran");
+
+                let (mut a, mut b) = (v.clone(), v.clone());
+                quick.btran_sparse(&mut a, &mut scratch);
+                fresh.btran_sparse(&mut b, &mut scratch);
+                assert_eq!(bits(&a), bits(&b), "btran_sparse");
+
+                let entries: Vec<(usize, f64)> = v
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &x)| x != 0.0)
+                    .map(|(i, &x)| (i, x))
+                    .collect();
+                let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+                quick.ftran_sparse(entries.iter().copied(), &mut a, &mut scratch);
+                fresh.ftran_sparse(entries.iter().copied(), &mut b, &mut scratch);
+                assert_eq!(bits(&a), bits(&b), "ftran_sparse");
+            }
+        }
+    }
+
+    #[test]
+    fn from_rows_equals_column_by_column_build() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for trial in 0..40 {
+            let n_rows = 1 + trial % 9;
+            let n_cols = 1 + (trial * 7) % 11;
+            // Rows of terms in arbitrary column order, with duplicate
+            // columns within a row and explicit zero coefficients.
+            let rows: Vec<Vec<(usize, f64)>> = (0..n_rows)
+                .map(|_| {
+                    (0..rng.gen_range(0..6))
+                        .map(|_| {
+                            let j = rng.gen_range(0..n_cols);
+                            let v = if rng.gen_bool(0.2) {
+                                0.0
+                            } else {
+                                rng.gen_range(-3.0..3.0)
+                            };
+                            (j, v)
+                        })
+                        .collect()
+                })
+                .collect();
+            let fast = ColMatrix::from_rows(n_rows, n_cols, |i| rows[i].iter().copied());
+
+            let mut by_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_cols];
+            for (i, row) in rows.iter().enumerate() {
+                for &(j, v) in row {
+                    by_col[j].push((i, v));
+                }
+            }
+            let mut slow = ColMatrix::new(n_rows);
+            for col in &by_col {
+                slow.push_col(col.iter().copied());
+            }
+            assert_eq!(fast.n_rows, slow.n_rows, "trial {trial}");
+            assert_eq!(fast.col_ptr, slow.col_ptr, "trial {trial}");
+            assert_eq!(fast.row_idx, slow.row_idx, "trial {trial}");
+            assert_eq!(bits(&fast.values), bits(&slow.values), "trial {trial}");
+        }
+    }
 
     fn dense_to_cols(a: &[&[f64]]) -> ColMatrix {
         let n = a.len();
@@ -711,6 +1186,9 @@ mod tests {
     fn singular_is_detected() {
         let m = dense_to_cols(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(SparseLu::factorize(&m).is_err());
+        let err = SparseLu::factorize_detailed(&m).expect_err("singular");
+        assert!(matches!(err, FactorizeError::Singular { .. }));
+        assert_eq!(err, reference_factorize(&m).expect_err("singular"));
     }
 
     #[test]
@@ -749,8 +1227,7 @@ mod tests {
         // Regression test: unit-coefficient matrices cancel exactly during
         // elimination; re-adding a row to the touched list on the 0→nonzero
         // transition used to duplicate L entries (applied twice in solves).
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
+        let mut rng = ChaCha8Rng::seed_from_u64(99);
         for _ in 0..50 {
             let n = 12;
             let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n]; n];
@@ -787,8 +1264,7 @@ mod tests {
 
     #[test]
     fn sparse_solves_agree_with_dense_solves() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
         for trial in 0..30 {
             let n = 5 + trial % 11;
             let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n]; n];
@@ -842,8 +1318,7 @@ mod tests {
 
     #[test]
     fn random_matrices_round_trip() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
         for trial in 0..20 {
             let n = 4 + trial % 13;
             // Diagonally-dominated random matrix: always nonsingular.

@@ -154,8 +154,12 @@ pub struct SolveStats {
     pub ftrans: usize,
     /// BTRAN solves (`B⁻ᵀ·y`) performed, dense and unit-vector alike.
     pub btrans: usize,
-    /// Wall time spent pricing: maintaining reduced costs/devex weights and
-    /// selecting entering columns.
+    /// Wall time spent pricing: selecting entering columns (the
+    /// reduced-cost scan) and maintaining the reduced costs and devex
+    /// weights. That maintenance includes each pivot row (its unit BTRAN
+    /// and CSR gather, also for dual-restoration steps) and every full
+    /// reduced-cost recompute. FTRANs, ratio tests and factorizations are
+    /// not counted.
     pub pricing_ns: u64,
 }
 
@@ -380,20 +384,14 @@ impl<'a> Worker<'a> {
         let art_offset = n_struct + m;
         let n_total = n_struct + 2 * m;
 
-        let mut cols = ColMatrix::new(m);
+        // Structural columns, transposed from the constraint rows.
+        let mut cols = ColMatrix::from_rows(m, n_struct, |i| {
+            model.cons[i].terms.iter().map(|&(v, c)| (v.index(), c))
+        });
         let mut lb = Vec::with_capacity(n_total);
         let mut ub = Vec::with_capacity(n_total);
         let mut cost = Vec::with_capacity(n_total);
-
-        // Structural columns.
-        let mut by_var: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_struct];
-        for (i, con) in model.cons.iter().enumerate() {
-            for &(v, c) in &con.terms {
-                by_var[v.index()].push((i, c));
-            }
-        }
-        for (j, var) in model.vars.iter().enumerate() {
-            cols.push_col(by_var[j].iter().copied());
+        for var in &model.vars {
             lb.push(var.lb);
             ub.push(var.ub);
             cost.push(var.obj);
@@ -443,6 +441,8 @@ impl<'a> Worker<'a> {
         // sign-oriented artificial only otherwise. On the siting LPs almost
         // every row has zero residual at the nonbasic point, so phase 1
         // starts with a handful of artificials instead of one per row.
+        // Either way slot `i` holds the unit column of row `i`, so the basis
+        // is exactly the identity and needs no factorization.
         let mut cost_phase1 = vec![0.0; n_total];
         let mut basis = Vec::with_capacity(m);
         let mut xb = Vec::with_capacity(m);
@@ -468,7 +468,7 @@ impl<'a> Worker<'a> {
             xb.push(r);
         }
 
-        let lu = factorize_basis(&cols, &basis, m)?;
+        let lu = SparseLu::identity(m);
 
         let max_iterations = if opts.max_iterations == 0 {
             (20 * (m + n_struct)).max(2_000)
