@@ -43,6 +43,7 @@
 pub mod engine;
 pub mod error;
 pub mod harness;
+pub mod http;
 pub mod json;
 pub mod report;
 pub mod router;
@@ -53,9 +54,11 @@ pub mod wallclock;
 
 pub use engine::{CancelRegistry, Engine, Progress};
 pub use error::{ApiError, SpecError, ERROR_SCHEMA};
+pub use http::ShutdownHandle;
 pub use report::{
-    AnnualReport, Report, ReportBody, SitingReport, SolverRollup, SweepReport, SweepRow,
-    TimingRecord, TimingReport, WarmVsCold, REPORT_SCHEMA, RESILIENCE_SCHEMA,
+    normalize_report_json, AnnualReport, Report, ReportBody, SitingReport, SolverRollup,
+    SweepReport, SweepRow, TimingRecord, TimingReport, WarmVsCold, REPORT_SCHEMA,
+    RESILIENCE_SCHEMA,
 };
 pub use router::{Router, RouterConfig, RouterHandle, RouterSummary, ROUTER_STATS_SCHEMA};
 pub use serve::{ServeConfig, ServeHandle, ServeSummary, Server, PROGRESS_SCHEMA};

@@ -10,7 +10,7 @@
 //! the only non-deterministic content; [`Report::normalized`] zeroes them
 //! so two runs of the same spec compare equal.
 
-use crate::json::Json;
+use crate::json::{Json, JsonError};
 use greencloud_core::anneal::SearchStats;
 use greencloud_core::solution::PlacementSolution;
 use greencloud_nebula::emulation::{EmulationReport, TraceRow};
@@ -607,6 +607,30 @@ impl Report {
         }
         out
     }
+}
+
+/// [`Report::normalized`] for a report that arrives as JSON text (served,
+/// journaled): zeroes every `wall_ms` / `pricing_ms` field and re-renders,
+/// so two reports of the same deterministic spec compare byte-identical.
+pub fn normalize_report_json(text: &str) -> Result<String, JsonError> {
+    fn zero_clocks(doc: &mut Json) {
+        match doc {
+            Json::Object(fields) => {
+                for (k, v) in fields.iter_mut() {
+                    if k == "wall_ms" || k == "pricing_ms" {
+                        *v = Json::Number(0.0);
+                    } else {
+                        zero_clocks(v);
+                    }
+                }
+            }
+            Json::Array(items) => items.iter_mut().for_each(zero_clocks),
+            _ => {}
+        }
+    }
+    let mut doc = Json::parse(text)?;
+    zero_clocks(&mut doc);
+    Ok(doc.render())
 }
 
 fn rollup_to_json(s: &SolverRollup) -> Json {

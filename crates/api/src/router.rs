@@ -1,11 +1,11 @@
 //! `repro router` — a sharding, streaming front-end over N `repro serve`
 //! backends.
 //!
-//! A hand-rolled HTTP/1.1 reverse proxy in the workspace's no-deps style
-//! (cf. [`crate::serve`]): `std::net`, a thread per client connection, and
-//! zero buffering of response bodies. One `repro serve` process already
-//! degrades instead of dying; the router scales that envelope past one
-//! process:
+//! A reverse proxy on the workspace's one HTTP layer ([`crate::http`],
+//! shared with [`crate::serve`]): a blocking acceptor, a thread per client
+//! connection, and zero buffering of response bodies. One `repro serve`
+//! process already degrades instead of dying; the router scales that
+//! envelope past one process:
 //!
 //! * **Consistent-hash sharding.** Requests are placed on a ring of
 //!   virtual nodes keyed by [`crate::store::ring_key`] — the first 64 bits
@@ -25,10 +25,11 @@
 //!   admission control. Only when every backend has failed does the
 //!   router answer `503` itself.
 //! * **Streaming relay.** Chunked responses (the `X-Progress: stream`
-//!   progress frames of [`crate::serve`]) are relayed chunk by chunk as
-//!   they arrive, flushed after every chunk, with the framing parsed only
-//!   far enough to know where the response ends — the router never holds
-//!   a full body in memory.
+//!   progress frames of [`crate::serve`]) are relayed verbatim as they
+//!   arrive, flushed after every chunk, with the framing parsed (through
+//!   the checked [`crate::http::parse_chunk_size`]) only far enough to know
+//!   where the response ends — the router never holds a full body in
+//!   memory, and a hostile chunk size aborts the relay.
 //! * **Fleet stats and drain.** `GET /v1/stats` fans out to every backend
 //!   and returns a `greencloud-router-stats/1` document with per-backend
 //!   snapshots plus a summed fleet view. SIGTERM (via
@@ -37,18 +38,20 @@
 //!   returns the run's counters for a clean exit 0.
 
 use crate::error::ApiError;
-use crate::json::Json;
-use crate::serve::{
-    error_body, find_head_end, header, lock_ok, read_request, status_reason, write_response,
-    HttpLimits, ReadOut, Request, MAX_HEAD_BYTES,
+use crate::http::{
+    error_body, spawn_acceptor, unrouted, write_request_head, write_response, write_response_head,
+    Body, Framing, HttpError, Limits, Reader, Request, Response, ServerCore, Service,
+    ShutdownHandle,
 };
+use crate::json::Json;
+use crate::serve::lock_ok;
 use crate::spec::ExperimentSpec;
 use crate::store;
 use crate::wallclock::Stopwatch;
 
-use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{BufWriter, Write as _};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -240,38 +243,20 @@ struct RouterInner {
     cfg: RouterConfig,
     ring: Ring,
     backends: Vec<Backend>,
-    shutdown: AtomicBool,
-    draining: AtomicBool,
+    /// The HTTP skeleton's state: drain flag and live connections.
+    core: Arc<ServerCore>,
+    /// Stops the prober at the end of the drain.
     stop: AtomicBool,
-    live_conns: AtomicUsize,
     stats: RouterStats,
 }
 
 /// A cloneable remote control for a running [`Router`].
-#[derive(Clone)]
-pub struct RouterHandle {
-    inner: Arc<RouterInner>,
-}
-
-impl RouterHandle {
-    /// Begins graceful shutdown: the acceptor stops, readyz starts
-    /// failing, and [`Router::join`] proceeds to drain.
-    pub fn trigger_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// True once shutdown has been triggered.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
-    }
-}
+pub type RouterHandle = ShutdownHandle;
 
 /// A running router. Construct with [`Router::bind`], stop with
-/// [`RouterHandle::trigger_shutdown`] + [`Router::join`].
+/// [`ShutdownHandle::trigger_shutdown`] + [`Router::join`].
 pub struct Router {
     inner: Arc<RouterInner>,
-    addr: SocketAddr,
     acceptor: Option<thread::JoinHandle<()>>,
     prober: Option<thread::JoinHandle<()>>,
 }
@@ -300,30 +285,33 @@ impl Router {
                 relayed: AtomicU64::new(0),
             })
             .collect();
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let limits = Limits {
+            max_connections: cfg.max_connections,
+            max_body_bytes: cfg.max_body_bytes,
+            read_timeout_ms: cfg.read_timeout_ms,
+            write_timeout_ms: cfg.write_timeout_ms,
+        };
+        let (core, listener) = ServerCore::bind(
+            &cfg.addr,
+            "router",
+            "router connection limit reached",
+            limits,
+        )?;
         let inner = Arc::new(RouterInner {
             cfg,
             ring,
             backends,
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
+            core,
             stop: AtomicBool::new(false),
-            live_conns: AtomicUsize::new(0),
             stats: RouterStats::default(),
         });
         let p = Arc::clone(&inner);
         let prober = thread::Builder::new()
             .name("gc-router-probe".to_string())
             .spawn(move || probe_loop(&p))?;
-        let acc = Arc::clone(&inner);
-        let acceptor = thread::Builder::new()
-            .name("gc-router-accept".to_string())
-            .spawn(move || acceptor_loop(&listener, &acc))?;
+        let acceptor = spawn_acceptor(listener, Arc::clone(&inner))?;
         Ok(Router {
             inner,
-            addr,
             acceptor: Some(acceptor),
             prober: Some(prober),
         })
@@ -331,19 +319,17 @@ impl Router {
 
     /// The bound address (useful with `:0` — the OS-picked port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.core.local_addr()
     }
 
     /// A cloneable shutdown control for this router.
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        self.inner.core.handle()
     }
 
-    /// Convenience for [`RouterHandle::trigger_shutdown`].
+    /// Convenience for [`ShutdownHandle::trigger_shutdown`].
     pub fn trigger_shutdown(&self) {
-        self.handle().trigger_shutdown();
+        self.inner.core.trigger_shutdown();
     }
 
     /// Blocks until shutdown is triggered, then drains: live client
@@ -351,16 +337,9 @@ impl Router {
     /// prober is stopped, and the run's counters come back.
     pub fn join(mut self) -> RouterSummary {
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            self.inner.core.join_acceptor(a);
         }
-        self.inner.draining.store(true, Ordering::SeqCst);
-        let drain = Stopwatch::start();
-        while (drain.elapsed_ms() as u64) < self.inner.cfg.drain_ms {
-            if self.inner.live_conns.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
+        self.inner.core.wait_idle(self.inner.cfg.drain_ms, || true);
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(p) = self.prober.take() {
             let _ = p.join();
@@ -381,7 +360,9 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 fn probe_loop(inner: &RouterInner) {
     while !inner.stop.load(Ordering::SeqCst) {
         for b in &inner.backends {
-            let ok = probe_once(&b.addr, &inner.cfg);
+            let budget = inner.cfg.connect_timeout_ms.max(250);
+            let ok =
+                get(&b.addr, "/v1/readyz", &inner.cfg, budget).is_some_and(|r| r.status == 200);
             b.up.store(ok, Ordering::SeqCst);
             if !ok {
                 // Idle pooled connections to a dark backend are stale.
@@ -398,136 +379,36 @@ fn probe_loop(inner: &RouterInner) {
     }
 }
 
-/// One readiness probe: fresh connection, `GET /v1/readyz`, true iff the
-/// backend answers 200 within the probe budgets.
-fn probe_once(addr: &str, cfg: &RouterConfig) -> bool {
-    let Some(sa) = resolve(addr) else {
-        return false;
-    };
-    let Ok(mut conn) =
-        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms))
-    else {
-        return false;
-    };
-    let budget = cfg.connect_timeout_ms.max(250);
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(budget)));
-    let _ = conn.set_write_timeout(Some(Duration::from_millis(budget)));
-    let req = format!("GET /v1/readyz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    if conn.write_all(req.as_bytes()).is_err() {
-        return false;
-    }
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let clock = Stopwatch::start();
-    loop {
-        if find_head_end(&buf).is_some() || buf.len() > MAX_HEAD_BYTES {
-            break;
-        }
-        if clock.elapsed_ms() as u64 > budget {
-            return false;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    parse_status_line(&buf).is_some_and(|s| s == 200)
+/// One `GET path` on a fresh connection to `addr`, every read and write
+/// bounded by `budget_ms`.
+fn get(addr: &str, path: &str, cfg: &RouterConfig, budget_ms: u64) -> Option<Response> {
+    let sa = resolve(addr)?;
+    let mut conn =
+        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms)).ok()?;
+    let _ = conn.set_read_timeout(Some(Duration::from_millis(budget_ms)));
+    let _ = conn.set_write_timeout(Some(Duration::from_millis(budget_ms)));
+    write_request_head(
+        &mut conn,
+        "GET",
+        path,
+        [("Host", addr), ("Connection", "close")],
+    )
+    .ok()?;
+    Reader::new(conn).read_response(budget_ms).ok()
 }
 
-/// The status code from a response head's first line, if parseable.
-fn parse_status_line(buf: &[u8]) -> Option<u16> {
-    let line_end = buf.windows(2).position(|w| w == b"\r\n")?;
-    let line = std::str::from_utf8(buf.get(..line_end)?).ok()?;
-    let mut parts = line.split(' ');
-    let version = parts.next()?;
-    if !version.starts_with("HTTP/1.") {
-        return None;
+impl Service for RouterInner {
+    fn core(&self) -> &ServerCore {
+        &self.core
     }
-    parts.next()?.parse::<u16>().ok()
-}
 
-/// Accepts connections until shutdown; each client gets its own thread,
-/// capped at `max_connections` live at once.
-fn acceptor_loop(listener: &TcpListener, inner: &Arc<RouterInner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if inner.live_conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
-                    refuse_busy(stream, inner);
-                    continue;
-                }
-                inner.live_conns.fetch_add(1, Ordering::SeqCst);
-                let conn = Arc::clone(inner);
-                let spawned = thread::Builder::new()
-                    .name("gc-router-conn".to_string())
-                    .spawn(move || {
-                        handle_client(stream, &conn);
-                        conn.live_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    inner.live_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
+    fn route(&self, stream: &mut TcpStream, req: &Request, close: bool) -> bool {
+        route_request(stream, self, req, close)
     }
-}
 
-/// Best-effort 503 for a connection over the `max_connections` cap.
-fn refuse_busy(mut stream: TcpStream, inner: &RouterInner) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let body = error_body("overloaded", "router connection limit reached", Vec::new());
-    let _ = write_response(
-        &mut stream,
-        503,
-        &[("Retry-After", "1".to_string())],
-        &body,
-        true,
-    );
-}
-
-/// Serves one client connection: requests are read with the same
-/// slow-loris envelope as `serve` and routed until the peer hangs up,
-/// sends `Connection: close`, errors, or the router drains.
-fn handle_client(mut stream: TcpStream, inner: &RouterInner) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let limits = HttpLimits {
-        max_body_bytes: inner.cfg.max_body_bytes,
-        read_timeout_ms: inner.cfg.read_timeout_ms,
-        draining: &inner.draining,
-    };
-    loop {
-        match read_request(&mut stream, &limits) {
-            ReadOut::Closed => break,
-            ReadOut::Reject {
-                status,
-                code,
-                message,
-            } => {
-                inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                let body = error_body(code, &message, Vec::new());
-                let _ = write_response(&mut stream, status, &[], &body, true);
-                break;
-            }
-            ReadOut::Request(req) => {
-                let close = req.close || inner.draining.load(Ordering::SeqCst);
-                let keep = route_request(&mut stream, inner, &req, close);
-                if close || !keep {
-                    break;
-                }
-            }
-        }
+    fn count_rejected(&self) {
+        self.stats.client_errors.fetch_add(1, Ordering::SeqCst);
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Dispatch: local endpoints (healthz/readyz/stats) are answered here;
@@ -541,7 +422,7 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
         }
         ("GET", "/v1/readyz") => {
             let up = backends_up(inner);
-            if inner.draining.load(Ordering::SeqCst) {
+            if inner.core.is_draining() {
                 let body = error_body("draining", "router is draining", Vec::new());
                 let _ = write_response(
                     stream,
@@ -576,7 +457,7 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
         }
         ("POST", "/v1/experiments" | "/v1/jobs") => {
             inner.stats.received.fetch_add(1, Ordering::SeqCst);
-            if inner.draining.load(Ordering::SeqCst) {
+            if inner.core.is_draining() {
                 let body = error_body(
                     "draining",
                     "router is draining; not accepting work",
@@ -613,24 +494,9 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
                 store::ring_key_of_job_id(id).unwrap_or_else(|| store::ring_key(id.as_bytes()));
             relay_keyed(stream, inner, req, close, key)
         }
-        (_, "/v1/healthz" | "/v1/readyz" | "/v1/stats" | "/v1/experiments" | "/v1/jobs") => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let allow = if req.path == "/v1/experiments" || req.path == "/v1/jobs" {
-                "POST"
-            } else {
-                "GET"
-            };
-            let body = error_body(
-                "method_not_allowed",
-                &format!("{} is not supported on {}", req.method, req.path),
-                Vec::new(),
-            );
-            write_response(stream, 405, &[("Allow", allow.to_string())], &body, close).is_ok()
-        }
         _ => {
             inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body("not_found", &format!("no route {}", req.path), Vec::new());
-            write_response(stream, 404, &[], &body, close).is_ok()
+            unrouted(stream, req, close)
         }
     }
 }
@@ -809,266 +675,77 @@ fn relay_on_conn(
     // business (`connection`), `expect` must not trigger an interim 100
     // (the body is already fully read), and length framing is restated
     // from the bytes actually held.
-    let mut head = format!("{} {} HTTP/1.1\r\n", req.method, req.path);
-    for (k, v) in &req.headers {
-        if matches!(
-            k.as_str(),
-            "connection" | "content-length" | "host" | "expect"
-        ) {
-            continue;
-        }
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Host: {}\r\n", backend.addr));
-    if req.method == "POST" || req.method == "PUT" || !req.body.is_empty() {
-        head.push_str(&format!("Content-Length: {}\r\n", req.body.len()));
-    }
-    head.push_str("Connection: keep-alive\r\n\r\n");
-    if conn.write_all(head.as_bytes()).is_err()
-        || conn.write_all(&req.body).is_err()
-        || conn.flush().is_err()
-    {
+    let len = (req.method == "POST" || req.method == "PUT" || !req.body.is_empty())
+        .then(|| req.body.len().to_string());
+    let headers = req
+        .headers
+        .iter()
+        .filter(|(k, _)| {
+            !matches!(
+                k.as_str(),
+                "connection" | "content-length" | "host" | "expect"
+            )
+        })
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain([("Host", backend.addr.as_str())])
+        .chain(len.as_deref().map(|l| ("Content-Length", l)))
+        .chain([("Connection", "keep-alive")]);
+    let sent = write_request_head(&mut conn, &req.method, &req.path, headers)
+        .and_then(|()| conn.write_all(&req.body))
+        .and_then(|()| conn.flush());
+    if sent.is_err() {
         return Err(RelayErr::Backend);
     }
 
-    // Read the backend's response head.
-    let (status, resp_headers, leftover) =
-        read_backend_head(&mut conn, inner.cfg.relay_timeout_ms).ok_or(RelayErr::Backend)?;
-    if status >= 500 {
+    let mut backend_conn = Reader::new(conn);
+    let head = backend_conn
+        .read_head(inner.cfg.relay_timeout_ms)
+        .map_err(|_| RelayErr::Backend)?;
+    let framing = head.framing().map_err(|_| RelayErr::Backend)?;
+    if head.status >= 500 {
         // The backend is misbehaving: drop the connection (no draining of
         // the body — it may be arbitrarily large) and let the next ring
         // node serve the request. 4xx including 429 passes through: that
         // verdict is about the *request*, not the backend.
         return Err(RelayErr::Backend);
     }
-    if retry_not_found && status == 404 {
+    if retry_not_found && head.status == 404 {
         // The job may live on the next ring node; consume the small error
         // body so the connection stays reusable, then move on.
-        let len = header(&resp_headers, "content-length").and_then(|v| v.parse::<u64>().ok());
-        let backend_close =
-            header(&resp_headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        if let Some(len) = len.filter(|&l| l <= 64 * 1024) {
-            if drain_exact(&mut conn, leftover, len).is_ok() && !backend_close {
-                lock_ok(&backend.pool).push(conn);
-            }
+        if matches!(framing, Framing::Length(n) if n <= 64 * 1024)
+            && backend_conn.read_body(framing, |_| Ok(())).is_ok()
+            && backend_conn.reusable(&head)
+        {
+            lock_ok(&backend.pool).push(backend_conn.into_inner());
         }
         return Err(RelayErr::NotFound);
     }
 
-    // Forward the head to the client.
-    let mut out = format!("HTTP/1.1 {status} {}\r\n", status_reason(status));
-    for (k, v) in &resp_headers {
-        if k == "connection" {
-            continue;
-        }
-        out.push_str(&format!("{k}: {v}\r\n"));
-    }
-    out.push_str(if close {
-        "Connection: close\r\n\r\n"
-    } else {
-        "Connection: keep-alive\r\n\r\n"
-    });
-    if stream.write_all(out.as_bytes()).is_err() {
-        return Err(RelayErr::Abort);
-    }
-
-    let chunked = header(&resp_headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    let content_length =
-        header(&resp_headers, "content-length").and_then(|v| v.parse::<u64>().ok());
-    let backend_close =
-        header(&resp_headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-
-    let reusable = if chunked {
+    // Forward the head, then the body verbatim — chunk framing included —
+    // flushing after every chunk so progress frames reach the client as
+    // they are produced. The write buffer joins a chunk's size line,
+    // payload and CRLF into one send; it never holds more than 8 KiB. A
+    // hostile chunk size or a vanished peer aborts.
+    let forwarded = head
+        .headers
+        .iter()
+        .filter(|(k, _)| k != "connection")
+        .map(|(k, v)| (k.as_str(), v.as_str()));
+    write_response_head(stream, head.status, forwarded, close).map_err(|_| RelayErr::Abort)?;
+    if framing == Framing::Chunked {
         inner.stats.streamed.fetch_add(1, Ordering::SeqCst);
-        relay_chunked(&mut conn, stream, leftover).map_err(|_| RelayErr::Abort)?
-    } else if let Some(len) = content_length {
-        relay_exact(&mut conn, stream, leftover, len).map_err(|_| RelayErr::Abort)?
-    } else {
-        // No framing: copy until EOF; the connection cannot be reused.
-        relay_to_eof(&mut conn, stream, leftover).map_err(|_| RelayErr::Abort)?;
-        false
-    };
-    if stream.flush().is_err() {
-        return Err(RelayErr::Abort);
     }
-    if reusable && !backend_close {
-        lock_ok(&backend.pool).push(conn);
+    let mut client = BufWriter::new(stream);
+    backend_conn
+        .read_body(framing, |piece| match piece {
+            Body::Framing(b) | Body::Data(b) => client.write_all(b).map_err(HttpError::from),
+            Body::End => client.flush().map_err(HttpError::from),
+        })
+        .map_err(|_| RelayErr::Abort)?;
+    if backend_conn.reusable(&head) {
+        lock_ok(&backend.pool).push(backend_conn.into_inner());
     }
     Ok(!close)
-}
-
-/// Reads a backend response head under a time budget. Returns the status,
-/// headers, and any body bytes read past the head.
-#[allow(clippy::type_complexity)]
-fn read_backend_head(
-    conn: &mut TcpStream,
-    budget_ms: u64,
-) -> Option<(u16, Vec<(String, String)>, Vec<u8>)> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let clock = Stopwatch::start();
-    let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
-        }
-        if buf.len() > MAX_HEAD_BYTES || clock.elapsed_ms() as u64 > budget_ms {
-            return None;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return None,
-        }
-    };
-    let status = parse_status_line(&buf)?;
-    let head_text = std::str::from_utf8(buf.get(..head_end.saturating_sub(4))?).ok()?;
-    let mut headers = Vec::new();
-    for line in head_text.split("\r\n").skip(1) {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(':')?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-    }
-    let leftover = buf.split_off(head_end);
-    Some((status, headers, leftover))
-}
-
-/// Streams exactly `len` body bytes from `conn` to `client`, starting
-/// with `leftover`. Returns whether the backend connection is reusable.
-fn relay_exact(
-    conn: &mut TcpStream,
-    client: &mut TcpStream,
-    leftover: Vec<u8>,
-    len: u64,
-) -> io::Result<bool> {
-    let mut remaining = len;
-    let take = leftover.len().min(remaining as usize);
-    if take > 0 {
-        client.write_all(leftover.get(..take).unwrap_or_default())?;
-        remaining -= take as u64;
-    }
-    let mut chunk = [0u8; 8192];
-    while remaining > 0 {
-        let want = chunk.len().min(remaining as usize);
-        let slot = chunk.get_mut(..want).unwrap_or_default();
-        match conn.read(slot) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => {
-                client.write_all(slot.get(..n).unwrap_or_default())?;
-                remaining -= n as u64;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads and discards exactly `len` body bytes (beyond `leftover`).
-fn drain_exact(conn: &mut TcpStream, leftover: Vec<u8>, len: u64) -> io::Result<()> {
-    let mut remaining = len.saturating_sub(leftover.len() as u64);
-    let mut chunk = [0u8; 4096];
-    while remaining > 0 {
-        let want = chunk.len().min(remaining as usize);
-        match conn.read(chunk.get_mut(..want).unwrap_or_default()) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => remaining -= n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Copies from `conn` to `client` until the backend closes.
-fn relay_to_eof(conn: &mut TcpStream, client: &mut TcpStream, leftover: Vec<u8>) -> io::Result<()> {
-    client.write_all(&leftover)?;
-    let mut chunk = [0u8; 8192];
-    loop {
-        match conn.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => client.write_all(chunk.get(..n).unwrap_or_default())?,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Relays a chunked body verbatim, flushing after every chunk so progress
-/// frames reach the client as they are produced, parsing the framing only
-/// to find the terminating zero chunk. Returns whether the backend
-/// connection is reusable (true — chunked framing is self-delimiting).
-fn relay_chunked(
-    conn: &mut TcpStream,
-    client: &mut TcpStream,
-    leftover: Vec<u8>,
-) -> io::Result<bool> {
-    // `buf` holds bytes read from the backend but not yet forwarded.
-    let mut buf = leftover;
-    let mut chunk = [0u8; 8192];
-    loop {
-        // Chunk-size line.
-        let line_end = loop {
-            if let Some(p) = buf.windows(2).position(|w| w == b"\r\n") {
-                break p;
-            }
-            if buf.len() > 128 {
-                return Err(io::ErrorKind::InvalidData.into());
-            }
-            let n = read_some(conn, &mut chunk)?;
-            buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        };
-        let line = std::str::from_utf8(buf.get(..line_end).unwrap_or_default())
-            .map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?;
-        let size_text = line.split(';').next().unwrap_or("").trim();
-        let size = u64::from_str_radix(size_text, 16)
-            .map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?;
-        // Forward the size line + payload + trailing CRLF.
-        let mut need = line_end as u64 + 2 + size + 2;
-        loop {
-            let have = (buf.len() as u64).min(need) as usize;
-            if have > 0 {
-                client.write_all(buf.get(..have).unwrap_or_default())?;
-                buf.drain(..have);
-                need -= have as u64;
-            }
-            if need == 0 {
-                break;
-            }
-            let n = read_some(conn, &mut chunk)?;
-            buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        }
-        client.flush()?;
-        if size == 0 {
-            // The zero chunk's trailing CRLF was already forwarded above;
-            // `serve` sends no trailers, and any unread trailer bytes
-            // would poison the pooled connection — so only an empty
-            // buffer leaves the socket reusable.
-            return Ok(buf.is_empty());
-        }
-    }
-}
-
-/// One blocking read that treats EOF as an error (chunked bodies end with
-/// the zero chunk, never the socket).
-fn read_some(conn: &mut TcpStream, chunk: &mut [u8; 8192]) -> io::Result<usize> {
-    loop {
-        match conn.read(chunk) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => return Ok(n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// `GET /v1/stats`: fetches every backend's stats document, sums the
@@ -1078,7 +755,10 @@ fn aggregate_stats(inner: &RouterInner) -> String {
     let mut fleet: Vec<(String, u64)> = Vec::new();
     let mut backend_docs = Vec::new();
     for b in &inner.backends {
-        let doc = fetch_backend_stats(b, &inner.cfg).and_then(|text| Json::parse(&text).ok());
+        let budget = inner.cfg.connect_timeout_ms.max(1_000);
+        let doc = get(&b.addr, "/v1/stats", &inner.cfg, budget)
+            .filter(|r| r.status == 200)
+            .and_then(|r| Json::parse(&r.body).ok());
         let mut fields = vec![
             ("addr".to_string(), Json::from(b.addr.as_str())),
             ("up".to_string(), Json::from(doc.is_some())),
@@ -1113,10 +793,7 @@ fn aggregate_stats(inner: &RouterInner) -> String {
         ("client_errors", Json::from(s.client_errors)),
         ("aborted_relays", Json::from(s.aborted_relays)),
         ("backends_up", Json::from(backends_up(inner) as u64)),
-        (
-            "draining",
-            Json::from(inner.draining.load(Ordering::SeqCst)),
-        ),
+        ("draining", Json::from(inner.core.is_draining())),
         ("backends", Json::Array(backend_docs)),
         (
             "fleet",
@@ -1124,42 +801,6 @@ fn aggregate_stats(inner: &RouterInner) -> String {
         ),
     ])
     .render()
-}
-
-/// One backend's `/v1/stats` body via a short-budget fresh connection,
-/// `None` when the backend is unreachable or answers anything but 200.
-fn fetch_backend_stats(backend: &Backend, cfg: &RouterConfig) -> Option<String> {
-    let sa = resolve(&backend.addr)?;
-    let mut conn =
-        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms)).ok()?;
-    let budget = cfg.connect_timeout_ms.max(1_000);
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(budget)));
-    let _ = conn.set_write_timeout(Some(Duration::from_millis(budget)));
-    let req = format!(
-        "GET /v1/stats HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n",
-        backend.addr
-    );
-    conn.write_all(req.as_bytes()).ok()?;
-    let (status, headers, mut body) = read_backend_head(&mut conn, budget)?;
-    if status != 200 {
-        return None;
-    }
-    let len = header(&headers, "content-length").and_then(|v| v.parse::<usize>().ok())?;
-    let clock = Stopwatch::start();
-    let mut chunk = [0u8; 4096];
-    while body.len() < len {
-        if clock.elapsed_ms() as u64 > budget {
-            return None;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    body.truncate(len);
-    String::from_utf8(body).ok()
 }
 
 #[cfg(test)]
@@ -1258,18 +899,6 @@ mod tests {
                 "backend {b} owns {share:.3} of the key space"
             );
         }
-    }
-
-    #[test]
-    fn status_line_parser_accepts_and_rejects() {
-        assert_eq!(parse_status_line(b"HTTP/1.1 200 OK\r\n"), Some(200));
-        assert_eq!(
-            parse_status_line(b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\n\r\n"),
-            Some(429)
-        );
-        assert_eq!(parse_status_line(b"SPDY/9 200 OK\r\n"), None);
-        assert_eq!(parse_status_line(b"HTTP/1.1 abc\r\n"), None);
-        assert_eq!(parse_status_line(b"no crlf yet"), None);
     }
 
     #[test]

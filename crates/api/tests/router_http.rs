@@ -300,3 +300,96 @@ fn local_endpoints_and_drain_summary() {
     server.trigger_shutdown();
     server.join();
 }
+
+/// A fake backend that answers `/v1/readyz` with 200 and every other
+/// request with a chunked head whose first chunk declares
+/// `ffffffffffffffff` bytes. Returns its address; the accept thread runs
+/// until the test process exits.
+fn hostile_chunk_backend() -> std::net::SocketAddr {
+    use std::io::{Read as _, Write as _};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("fake backend addr");
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 4096];
+                loop {
+                    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+                        match conn.read(&mut chunk) {
+                            Ok(0) | Err(_) => return,
+                            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                        }
+                        continue;
+                    };
+                    let head = String::from_utf8_lossy(&buf[..end]).to_ascii_lowercase();
+                    let len = head
+                        .lines()
+                        .find_map(|l| l.strip_prefix("content-length:"))
+                        .and_then(|v| v.trim().parse::<usize>().ok())
+                        .unwrap_or(0);
+                    while buf.len() < end + 4 + len {
+                        match conn.read(&mut chunk) {
+                            Ok(0) | Err(_) => return,
+                            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                        }
+                    }
+                    buf.drain(..end + 4 + len);
+                    let reply: &[u8] = if head.starts_with("get /v1/readyz") {
+                        b"HTTP/1.1 200 OK\r\nContent-Length: 19\r\n\r\n{\"status\":\"ready\"}\n"
+                    } else {
+                        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n"
+                    };
+                    if conn.write_all(reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A backend that declares a chunk of `u64::MAX` bytes must not take the
+/// router down: the relay aborts with a typed error (counted in
+/// `aborted_relays`), the router keeps serving, and the drain finishes
+/// well inside `drain_ms` because no connection slot leaked.
+#[test]
+fn hostile_chunk_size_aborts_the_relay_and_the_router_survives() {
+    use std::io::{Read as _, Write as _};
+    let backend = hostile_chunk_backend();
+    let (router, router_addr) = start_router(&[backend], |cfg| cfg.drain_ms = 3_000);
+
+    let spec = annual_spec(24, 4, 0).to_json_string().into_bytes();
+    let mut client = std::net::TcpStream::connect(router_addr).expect("connect");
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let head = format!(
+        "POST /v1/experiments HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        spec.len()
+    );
+    client.write_all(head.as_bytes()).expect("write head");
+    client.write_all(&spec).expect("write body");
+    let mut got = Vec::new();
+    let _ = client.read_to_end(&mut got);
+    let got = String::from_utf8_lossy(&got);
+    assert!(
+        got.starts_with("HTTP/1.1 200"),
+        "the head was relayed before the body failed: {got:?}"
+    );
+
+    let health = http(router_addr, "GET", "/v1/healthz", &[], None);
+    assert_eq!(health.status, 200, "router must survive a hostile backend");
+
+    router.trigger_shutdown();
+    let clock = std::time::Instant::now();
+    let summary = router.join();
+    let waited = clock.elapsed();
+    assert!(
+        waited < std::time::Duration::from_millis(1_500),
+        "drain waited {waited:?}: a connection slot leaked"
+    );
+    assert_eq!(summary.aborted_relays, 1);
+}

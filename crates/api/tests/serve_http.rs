@@ -346,3 +346,58 @@ fn drain_refuses_new_work_and_exits_cleanly() {
     let summary = server.join();
     assert_eq!(summary.server_errors, 0);
 }
+
+/// A body far over the cap is refused with `413` before it is read, and
+/// the client still gets that answer while it is sending: the server
+/// discards the rest of the body (a lingering close) instead of closing
+/// on unread input, which would reset the connection and drop the `413`.
+#[test]
+fn oversized_body_gets_its_413_while_the_client_is_still_sending() {
+    use std::io::{Read as _, Write as _};
+    let (server, addr) = start(|cfg| cfg.max_body_bytes = 256);
+    let body = vec![b' '; 4 << 20];
+    for attempt in 0..3 {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let head = format!(
+            "POST /v1/experiments HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(&body).expect("the server drains the body");
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).expect("read the answer");
+        let answer = String::from_utf8_lossy(&answer);
+        assert!(
+            answer.starts_with("HTTP/1.1 413"),
+            "attempt {attempt}: {answer:?}"
+        );
+    }
+    server.trigger_shutdown();
+    server.join();
+}
+
+/// HTTP/1.1 pipelining: requests sent back to back in one write are all
+/// answered, in order, on the same connection.
+#[test]
+fn pipelined_requests_are_all_answered_in_order() {
+    use std::io::Write as _;
+    let (server, addr) = start(|_| {});
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut conn = greencloud_api::http::Reader::new(stream);
+    conn.get_mut()
+        .write_all(
+            b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n\
+              POST /v1/healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}\
+              GET /v1/stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        .expect("write pipelined requests");
+    let statuses: Vec<u16> = (0..3)
+        .map(|_| conn.read_response(10_000).expect("response").status)
+        .collect();
+    assert_eq!(statuses, [200, 405, 200]);
+    server.trigger_shutdown();
+    server.join();
+}

@@ -52,10 +52,13 @@
 //! same spec. `--allow-transport` additionally tolerates transport errors
 //! (statuses 0/599), for bursts deliberately cut down by `kill -9`.
 
+use greencloud_api::http::{write_request_head, Reader, Response};
 use greencloud_api::json::Json;
+use greencloud_api::normalize_report_json;
 use greencloud_api::wallclock::Stopwatch;
+use greencloud_bench::Args;
 
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -143,80 +146,28 @@ impl Default for Config {
     }
 }
 
+const USAGE: &str = "usage: loadgen --addr A --spec F [--spec F ...] [--requests N] [--concurrency N]
+               [--chaos] [--unique] [--no-cache] [--deadline-ms N] [--expect-shed] [--min-ok N]
+               [--rate N] [--histogram] [--min-hit-rate P] [--backends a:p,b:p,...]
+               [--jobs --jobs-dir DIR [--allow-transport]] [--verify-jobs DIR [--verify-timeout-s N]]";
+
 fn parse_args() -> Config {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut cfg = Config::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                cfg.addr = args.get(i).cloned().unwrap_or(cfg.addr);
-            }
-            "--spec" => {
-                i += 1;
-                if let Some(p) = args.get(i) {
-                    cfg.spec_paths.push(p.clone());
-                }
-            }
-            "--requests" => {
-                i += 1;
-                cfg.requests = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(cfg.requests);
-            }
-            "--concurrency" => {
-                i += 1;
-                cfg.concurrency = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(cfg.concurrency);
-            }
-            "--deadline-ms" => {
-                i += 1;
-                cfg.deadline_ms = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
-            }
-            "--min-ok" => {
-                i += 1;
-                cfg.min_ok = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
-            }
-            "--rate" => {
-                i += 1;
-                cfg.rate = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0.0);
-            }
-            "--jobs-dir" => {
-                i += 1;
-                cfg.jobs_dir = args.get(i).cloned();
-            }
-            "--verify-jobs" => {
-                i += 1;
-                cfg.verify_jobs = args.get(i).cloned();
-            }
-            "--verify-timeout-s" => {
-                i += 1;
-                cfg.verify_timeout_s = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(cfg.verify_timeout_s);
-            }
-            "--backends" => {
-                i += 1;
-                cfg.backends = args
-                    .get(i)
-                    .map(|s| {
-                        s.split(',')
-                            .map(str::trim)
-                            .filter(|b| !b.is_empty())
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-            }
-            "--min-hit-rate" => {
-                i += 1;
-                cfg.min_hit_rate = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(-1.0);
-            }
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--addr" => cfg.addr = args.value(),
+            "--spec" => cfg.spec_paths.push(args.value()),
+            "--requests" => cfg.requests = args.value(),
+            "--concurrency" => cfg.concurrency = args.value(),
+            "--deadline-ms" => cfg.deadline_ms = args.value(),
+            "--min-ok" => cfg.min_ok = args.value(),
+            "--rate" => cfg.rate = args.value(),
+            "--jobs-dir" => cfg.jobs_dir = Some(args.value()),
+            "--verify-jobs" => cfg.verify_jobs = Some(args.value()),
+            "--verify-timeout-s" => cfg.verify_timeout_s = args.value(),
+            "--backends" => cfg.backends = args.list(),
+            "--min-hit-rate" => cfg.min_hit_rate = args.value(),
             "--chaos" => cfg.chaos = true,
             "--unique" => cfg.unique = true,
             "--no-cache" => cfg.no_cache = true,
@@ -224,9 +175,8 @@ fn parse_args() -> Config {
             "--histogram" => cfg.histogram = true,
             "--jobs" => cfg.jobs = true,
             "--allow-transport" => cfg.allow_transport = true,
-            other => eprintln!("loadgen: ignoring unknown flag {other}"),
+            other => args.fail(&format!("loadgen: unknown flag {other}")),
         }
-        i += 1;
     }
     if cfg.spec_paths.is_empty() {
         cfg.spec_paths.push("examples/quick.spec.json".to_string());
@@ -269,17 +219,11 @@ fn perturb_start_hour(doc: &mut Json, hour: u64) -> bool {
     true
 }
 
-/// A parsed HTTP response: status, cache marker, body text.
-struct Response {
-    status: u16,
-    cache_hit: bool,
-    body: String,
-}
-
-/// Sends one request over a fresh connection and reads the response.
-/// `cut_after` truncates the write mid-body and hangs up (mid-request
-/// disconnect chaos); `drop_after_send` hangs up right after writing
-/// without reading the response (cancels the in-flight solve).
+/// Sends one request over a fresh `Connection: close` connection and
+/// reads the response. `cut_after` truncates the write mid-body and hangs
+/// up (mid-request disconnect chaos); `drop_after_send` hangs up right
+/// after writing without reading the response (cancels the in-flight
+/// solve).
 fn send_request(
     addr: &str,
     method: &str,
@@ -293,20 +237,18 @@ fn send_request(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(150)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    );
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream
-        .write_all(head.as_bytes())
+    let len = body.len().to_string();
+    let fixed = [
+        ("Host", addr),
+        ("Content-Type", "application/json"),
+        ("Content-Length", len.as_str()),
+        ("Connection", "close"),
+    ];
+    let extra = headers.iter().map(|(k, v)| (*k, v.as_str()));
+    write_request_head(&mut stream, method, path, fixed.into_iter().chain(extra))
         .map_err(|e| format!("write head: {e}"))?;
     if let Some(cut) = cut_after {
-        let cut = cut.min(body.len());
-        let _ = stream.write_all(&body[..cut]);
+        let _ = stream.write_all(&body[..cut.min(body.len())]);
         let _ = stream.flush();
         // Hang up mid-body: the server's read budget must reclaim this.
         return Ok(None);
@@ -320,186 +262,90 @@ fn send_request(
         // client and cancel the solve.
         return Ok(None);
     }
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e) => {
-                if raw.is_empty() {
-                    return Err(format!("read: {e}"));
-                }
-                break;
-            }
-        }
-    }
-    let text = String::from_utf8_lossy(&raw).to_string();
-    // Skip interim 100 Continue responses before parsing the real one.
-    let resp = match text.strip_prefix("HTTP/1.1 100") {
-        Some(_) => text
-            .split_once("\r\n\r\n")
-            .map(|(_, rest)| rest.to_string())
-            .unwrap_or_default(),
-        None => text,
-    };
-    let status_line = resp.split("\r\n").next().unwrap_or("");
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let (head_text, body_text) = resp
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((resp, String::new()));
-    let cache_hit = head_text
-        .lines()
-        .any(|l| l.to_ascii_lowercase().starts_with("x-cache:") && l.contains("hit"));
-    Ok(Some(Response {
-        status,
-        cache_hit,
-        body: body_text,
-    }))
+    Reader::new(stream)
+        .read_response(150_000)
+        .map(Some)
+        .map_err(|e| format!("read: {e}"))
 }
 
 /// One worker request: picks a behavior for request `i` and executes it.
 fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
     let chaos_slot = if cfg.chaos { i % 10 } else { 10 };
     let spec_text = &specs[i % specs.len()];
+    let spec = spec_text.as_bytes();
     let sw = Stopwatch::start();
-    let (kind, outcome) = match chaos_slot {
+    let huge;
+    let mut headers: Vec<(&str, String)> = Vec::new();
+    // (kind, body, cut the write after this many body bytes, hang up
+    // right after sending)
+    let (kind, body, cut_after, drop_after_send): (_, &[u8], _, _) = match chaos_slot {
         // 10% malformed JSON → 400.
         7 => (
             KIND_MALFORMED,
-            send_request(
-                &cfg.addr,
-                "POST",
-                "/v1/experiments",
-                b"{\"schema\": \"greencloud-spec/1\", ",
-                &[],
-                None,
-                false,
-            ),
+            b"{\"schema\": \"greencloud-spec/1\", ",
+            None,
+            false,
         ),
         // 10% oversized body → 413 (2 MiB of padding).
         8 => {
-            let huge = vec![b' '; 2 * 1024 * 1024];
-            (
-                KIND_OVERSIZED,
-                send_request(
-                    &cfg.addr,
-                    "POST",
-                    "/v1/experiments",
-                    &huge,
-                    &[],
-                    None,
-                    false,
-                ),
-            )
+            huge = vec![b' '; 2 * 1024 * 1024];
+            (KIND_OVERSIZED, &huge, None, false)
         }
         // 5% mid-request disconnect → no response, server must recover.
-        9 if (i / 10).is_multiple_of(2) => (
-            KIND_MIDCUT,
-            send_request(
-                &cfg.addr,
-                "POST",
-                "/v1/experiments",
-                spec_text.as_bytes(),
-                &[],
-                Some(spec_text.len() / 2),
-                false,
-            ),
-        ),
+        9 if (i / 10).is_multiple_of(2) => (KIND_MIDCUT, spec, Some(spec.len() / 2), false),
         // 5% post-request disconnect → in-flight solve is cancelled.
-        9 => (
-            KIND_POSTCUT,
-            send_request(
-                &cfg.addr,
-                "POST",
-                "/v1/experiments",
-                spec_text.as_bytes(),
-                &[],
-                None,
-                true,
-            ),
-        ),
+        9 => (KIND_POSTCUT, spec, None, true),
         // 10% deadline storm: a 1 ms deadline → 408 (or a 200 when the
         // report was already cached / solved inside the window).
-        6 => (
-            KIND_STORM,
-            send_request(
-                &cfg.addr,
-                "POST",
-                "/v1/experiments",
-                spec_text.as_bytes(),
-                &[("X-Deadline-Ms", "1".to_string())],
-                None,
-                false,
-            ),
-        ),
+        6 => {
+            headers.push(("X-Deadline-Ms", "1".to_string()));
+            (KIND_STORM, spec, None, false)
+        }
         // The rest: honest traffic — synchronous solves, or durable job
         // submissions under --jobs.
         _ => {
-            let mut headers: Vec<(&str, String)> = Vec::new();
             if cfg.no_cache {
                 headers.push(("Cache-Control", "no-cache".to_string()));
             }
             if cfg.deadline_ms > 0 {
                 headers.push(("X-Deadline-Ms", cfg.deadline_ms.to_string()));
             }
-            if cfg.jobs {
-                let out = send_request(
-                    &cfg.addr,
-                    "POST",
-                    "/v1/jobs",
-                    spec_text.as_bytes(),
-                    &headers,
-                    None,
-                    false,
-                );
-                if let (Some(dir), Ok(Some(r))) = (&cfg.jobs_dir, &out) {
-                    if r.status == 202 {
-                        record_job(dir, &r.body, spec_text);
-                    }
-                }
-                (KIND_JOB, out)
-            } else {
-                (
-                    KIND_NORMAL,
-                    send_request(
-                        &cfg.addr,
-                        "POST",
-                        "/v1/experiments",
-                        spec_text.as_bytes(),
-                        &headers,
-                        None,
-                        false,
-                    ),
-                )
-            }
+            let kind = if cfg.jobs { KIND_JOB } else { KIND_NORMAL };
+            (kind, spec, None, false)
         }
     };
-    let ms = sw.elapsed_ms();
-    match outcome {
-        Ok(Some(r)) => Sample {
-            kind,
-            status: r.status,
-            ms,
-            cache_hit: r.cache_hit,
-        },
-        Ok(None) => Sample {
-            kind,
-            status: 0,
-            ms,
-            cache_hit: false,
-        },
-        Err(_) => Sample {
-            kind,
-            status: 599,
-            ms,
-            cache_hit: false,
-        },
+    let path = if kind == KIND_JOB {
+        "/v1/jobs"
+    } else {
+        "/v1/experiments"
+    };
+    let outcome = send_request(
+        &cfg.addr,
+        "POST",
+        path,
+        body,
+        &headers,
+        cut_after,
+        drop_after_send,
+    );
+    if let (KIND_JOB, Some(dir), Ok(Some(r))) = (kind, &cfg.jobs_dir, &outcome) {
+        if r.status == 202 {
+            record_job(dir, &r.body, spec_text);
+        }
+    }
+    let (status, cache_hit) = match &outcome {
+        Ok(Some(r)) => (
+            r.status,
+            r.header("x-cache").is_some_and(|v| v.contains("hit")),
+        ),
+        Ok(None) => (0, false),
+        Err(_) => (599, false),
+    };
+    Sample {
+        kind,
+        status,
+        ms: sw.elapsed_ms(),
+        cache_hit,
     }
 }
 
@@ -597,28 +443,6 @@ fn print_histogram(ms: &[f64]) {
         }
         lo = hi;
         hi *= 2.0;
-    }
-}
-
-/// Recursively zeroes the clock fields (`wall_ms`, `pricing_ms`) so two
-/// reports of the same deterministic experiment compare byte-identical.
-fn normalize_clocks(doc: &mut Json) {
-    match doc {
-        Json::Object(fields) => {
-            for (k, v) in fields.iter_mut() {
-                if k == "wall_ms" || k == "pricing_ms" {
-                    *v = Json::Number(0.0);
-                } else {
-                    normalize_clocks(v);
-                }
-            }
-        }
-        Json::Array(items) => {
-            for v in items.iter_mut() {
-                normalize_clocks(v);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -774,12 +598,10 @@ fn verify_one_job(cfg: &Config, id: &str, spec: &str) -> VerifyOutcome {
             Ok(None) | Err(_) => thread::sleep(Duration::from_millis(500)),
         }
     };
-    let render = |text: &str| -> Option<String> {
-        let mut doc = Json::parse(text).ok()?;
-        normalize_clocks(&mut doc);
-        Some(doc.render())
-    };
-    match (render(&report), render(&reference)) {
+    match (
+        normalize_report_json(&report).ok(),
+        normalize_report_json(&reference).ok(),
+    ) {
         (Some(a), Some(b)) if a == b => VerifyOutcome::Completed,
         (Some(_), Some(_)) => {
             VerifyOutcome::Failed("recovered report differs from reference solve".to_string())

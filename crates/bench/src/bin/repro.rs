@@ -51,7 +51,7 @@ use greencloud_api::{
     TimingSpec,
 };
 use greencloud_bench::bench_json::{parse_bench_json, render_bench_json, BenchRecord};
-use greencloud_bench::{siting_search, sweep_inputs, tech_label, world, REPRO_SEED};
+use greencloud_bench::{siting_search, sweep_inputs, tech_label, world, Args, REPRO_SEED};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
 use greencloud_cost::params::CostParams;
@@ -60,8 +60,16 @@ use greencloud_energy::pue::PueModel;
 use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::scheduler::SchedulerConfig;
 
+const USAGE: &str = "usage: repro <experiment> [--locations N] [--fast] [--threads N]
+       repro run <spec.json> [--json] [--timeout-ms N] [--world anchors|synthetic] [--locations N]
+       repro serve [--addr A] [--max-inflight N] [--queue-depth N] [--default-deadline-ms N]
+                   [--drain-ms N] [--cache-capacity N] [--journal-path F | --no-persist]
+                   [--max-redeliveries N]
+       repro router --backends a:p,b:p[,...] [--addr A] [--vnodes N] [--probe-ms N] [--drain-ms N]
+       repro lint";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut experiment = String::from("all");
     let mut spec_path: Option<String> = None;
     let mut locations = 0usize; // 0 = per-experiment default
@@ -74,106 +82,30 @@ fn main() {
     let mut router_cfg = greencloud_api::RouterConfig::default();
     let mut journal_path: Option<String> = None;
     let mut no_persist = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--locations" => {
-                i += 1;
-                locations = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
-            }
-            "--threads" => {
-                i += 1;
-                threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
-            }
-            "--world" => {
-                i += 1;
-                world_kind = args.get(i).cloned().unwrap_or_default();
-            }
-            "--timeout-ms" => {
-                i += 1;
-                timeout_ms = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
-            }
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--locations" => locations = args.value(),
+            "--threads" => threads = args.value(),
+            "--world" => world_kind = args.value(),
+            "--timeout-ms" => timeout_ms = args.value(),
             "--addr" => {
-                i += 1;
-                if let Some(a) = args.get(i) {
-                    serve_cfg.addr = a.clone();
-                    router_cfg.addr = a.clone();
-                }
+                serve_cfg.addr = args.value();
+                router_cfg.addr = serve_cfg.addr.clone();
             }
-            "--backends" => {
-                i += 1;
-                router_cfg.backends = args
-                    .get(i)
-                    .map(|s| {
-                        s.split(',')
-                            .map(str::trim)
-                            .filter(|b| !b.is_empty())
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-            }
-            "--vnodes" => {
-                i += 1;
-                router_cfg.virtual_nodes = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(router_cfg.virtual_nodes);
-            }
-            "--probe-ms" => {
-                i += 1;
-                router_cfg.probe_interval_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(router_cfg.probe_interval_ms);
-            }
-            "--max-inflight" => {
-                i += 1;
-                serve_cfg.max_inflight = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(serve_cfg.max_inflight);
-            }
-            "--queue-depth" => {
-                i += 1;
-                serve_cfg.queue_depth = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(serve_cfg.queue_depth);
-            }
-            "--default-deadline-ms" => {
-                i += 1;
-                serve_cfg.default_deadline_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(serve_cfg.default_deadline_ms);
-            }
+            "--backends" => router_cfg.backends = args.list(),
+            "--vnodes" => router_cfg.virtual_nodes = args.value(),
+            "--probe-ms" => router_cfg.probe_interval_ms = args.value(),
+            "--max-inflight" => serve_cfg.max_inflight = args.value(),
+            "--queue-depth" => serve_cfg.queue_depth = args.value(),
+            "--default-deadline-ms" => serve_cfg.default_deadline_ms = args.value(),
             "--drain-ms" => {
-                i += 1;
-                if let Some(ms) = args.get(i).and_then(|s| s.parse().ok()) {
-                    serve_cfg.drain_ms = ms;
-                    router_cfg.drain_ms = ms;
-                }
+                serve_cfg.drain_ms = args.value();
+                router_cfg.drain_ms = serve_cfg.drain_ms;
             }
-            "--cache-capacity" => {
-                i += 1;
-                serve_cfg.cache_capacity = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(serve_cfg.cache_capacity);
-            }
-            "--journal-path" => {
-                i += 1;
-                journal_path = args.get(i).cloned();
-            }
+            "--cache-capacity" => serve_cfg.cache_capacity = args.value(),
+            "--journal-path" => journal_path = Some(args.value()),
             "--no-persist" => no_persist = true,
-            "--max-redeliveries" => {
-                i += 1;
-                serve_cfg.max_redeliveries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(serve_cfg.max_redeliveries);
-            }
+            "--max-redeliveries" => serve_cfg.max_redeliveries = args.value(),
             "--fast" => fast = true,
             "--json" => as_json = true,
             "--quick" => experiment = "quick".to_string(),
@@ -184,9 +116,8 @@ fn main() {
                     experiment = other.to_string();
                 }
             }
-            other => eprintln!("ignoring unknown flag {other}"),
+            other => args.fail(&format!("repro: unknown flag {other}")),
         }
-        i += 1;
     }
 
     if experiment == "lint" {
@@ -350,8 +281,6 @@ fn header(title: &str) {
     println!("\n==== {title} ====");
 }
 
-/// Loads, runs, and prints one serialized spec. Returns `false` on any
-/// failure.
 /// `repro lint` — the gclint static-analysis pass over the workspace
 /// (determinism, panic-freedom, float-safety; see `cargo run -p gclint --
 /// --help` for the rule catalog). Returns the process exit code.
@@ -373,6 +302,8 @@ fn run_lint() -> i32 {
     }
 }
 
+/// Loads, runs, and prints one serialized spec. Returns `false` on any
+/// failure.
 fn run_spec_file(
     path: &str,
     world_kind: &str,
@@ -497,24 +428,9 @@ fn run_serve(
             return 1;
         }
     };
-    println!("repro serve: listening on http://{}", server.local_addr());
-    sig::install();
-    let handle = server.handle();
-    let poller = std::thread::spawn(move || loop {
-        if sig::triggered() {
-            handle.trigger_shutdown();
-            return;
-        }
-        if handle.is_draining() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
-    let summary = server.join();
-    let _ = poller.join();
-    println!("repro serve: drained cleanly");
-    print!("{}", summary.render_text());
-    0
+    drain_on_signal("serve", server.local_addr(), server.handle(), || {
+        server.join().render_text()
+    })
 }
 
 /// `repro router` — binds the sharding front-end over `--backends` and
@@ -532,23 +448,35 @@ fn run_router(cfg: greencloud_api::RouterConfig) -> i32 {
             return 1;
         }
     };
-    println!("repro router: listening on http://{}", router.local_addr());
+    drain_on_signal("router", router.local_addr(), router.handle(), || {
+        router.join().render_text()
+    })
+}
+
+/// Announces the listening address, blocks until SIGTERM/SIGINT starts the
+/// drain, then joins the server (`join` returns its rendered summary) and
+/// prints it. Returns the process exit code (0 on a clean drain).
+fn drain_on_signal(
+    name: &str,
+    addr: std::net::SocketAddr,
+    handle: greencloud_api::ShutdownHandle,
+    join: impl FnOnce() -> String,
+) -> i32 {
+    println!("repro {name}: listening on http://{addr}");
     sig::install();
-    let handle = router.handle();
-    let poller = std::thread::spawn(move || loop {
-        if sig::triggered() {
-            handle.trigger_shutdown();
-            return;
+    let poller = std::thread::spawn(move || {
+        while !handle.is_draining() {
+            if sig::triggered() {
+                handle.trigger_shutdown();
+            } else {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
         }
-        if handle.is_draining() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
     });
-    let summary = router.join();
+    let summary = join();
     let _ = poller.join();
-    println!("repro router: drained cleanly");
-    print!("{}", summary.render_text());
+    println!("repro {name}: drained cleanly");
+    print!("{summary}");
     0
 }
 

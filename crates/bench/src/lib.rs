@@ -66,3 +66,57 @@ pub fn tech_label(t: TechMix) -> &'static str {
         TechMix::Both => "wind+solar",
     }
 }
+
+/// The flag cursor shared by the `repro` and `loadgen` parsers: an unknown
+/// flag, a missing value, or a value that does not parse ends the process
+/// with exit code 2 and the binary's usage text — never a silent default.
+pub struct Args {
+    args: Vec<String>,
+    at: usize,
+    usage: &'static str,
+}
+
+impl Args {
+    /// The process arguments after the binary name.
+    pub fn from_env(usage: &'static str) -> Args {
+        Args {
+            args: std::env::args().skip(1).collect(),
+            at: 0,
+            usage,
+        }
+    }
+
+    /// The next argument, if any.
+    pub fn next_arg(&mut self) -> Option<String> {
+        let arg = self.args.get(self.at).cloned();
+        self.at += 1;
+        arg
+    }
+
+    /// The value of the flag just read, parsed as `T`.
+    pub fn value<T: std::str::FromStr>(&mut self) -> T {
+        let flag = self.args.get(self.at.wrapping_sub(1)).cloned();
+        let flag = flag.unwrap_or_default();
+        match self.next_arg().map(|v| v.parse::<T>()) {
+            Some(Ok(v)) => v,
+            Some(Err(_)) => self.fail(&format!("{flag}: value does not parse")),
+            None => self.fail(&format!("{flag} needs a value")),
+        }
+    }
+
+    /// A comma-separated list value (empty items dropped).
+    pub fn list(&mut self) -> Vec<String> {
+        let raw: String = self.value();
+        raw.split(',')
+            .map(str::trim)
+            .filter(|b| !b.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// Prints `msg` and the usage text, then exits with code 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        eprintln!("{msg}\n{}", self.usage);
+        std::process::exit(2)
+    }
+}

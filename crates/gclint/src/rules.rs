@@ -13,7 +13,7 @@
 //! | `hash-iter` | `crates/{nebula,core,api}/src` | iterating a `HashMap`/`HashSet` binding |
 //! | `wall-clock` | all crate `src/` except `wallclock.rs` | `Instant::now` / `SystemTime::now` |
 //! | `unseeded-rng` | all crate `src/` | `thread_rng` / `from_entropy` / `rand::random` |
-//! | `panic-path` | `crates/lp/src`, `crates/nebula/src`, `core/src/formulation.rs`, `api/src/{serve,store,router}.rs` | `.unwrap()` / `.expect(` / `panic!` / `todo!` / `unimplemented!` |
+//! | `panic-path` | `crates/lp/src`, `crates/nebula/src`, `core/src/formulation.rs`, `api/src/{serve,store,router,http}.rs` | `.unwrap()` / `.expect(` / `panic!` / `todo!` / `unimplemented!` |
 //! | `index-literal` | same as `panic-path` | postfix indexing by an integer literal |
 //! | `float-eq` | `crates/lp/src` | `==`/`!=` against a non-zero float literal or NAN |
 //! | `unsafe-safety` | everywhere scanned | `unsafe` without a `// SAFETY:` comment within 3 lines |
@@ -81,6 +81,7 @@ fn panic_scope(p: &str) -> bool {
         || p == "crates/api/src/serve.rs"
         || p == "crates/api/src/store.rs"
         || p == "crates/api/src/router.rs"
+        || p == "crates/api/src/http.rs"
 }
 
 fn lp_scope(p: &str) -> bool {
@@ -530,6 +531,8 @@ mod tests {
         let d = diag("crates/api/src/store.rs", src);
         assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
         let d = diag("crates/api/src/router.rs", src);
+        assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
+        let d = diag("crates/api/src/http.rs", src);
         assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
         // ...but the rest of the api crate is not.
         assert!(diag("crates/api/src/engine.rs", src).is_empty());
